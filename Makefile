@@ -41,9 +41,10 @@ trace:
 bench-obs:
 	$(GO) run ./cmd/antonbench -profile-json BENCH_obs.json
 
-# Shard-scaling run: throughput and measured message traffic of the
-# sharded virtual-node pipeline at 1/8/64/512 shards, regenerating the
-# committed BENCH_shards.json record.
+# Shard-scaling run: throughput, receive wait, payload bytes and measured
+# message traffic of the sharded virtual-node pipeline, one row per shard
+# count (1/8/64/512), regenerating the committed BENCH_shards.json record.
+# Every row must report a bitwise match against the monolithic run.
 shards:
 	$(GO) run ./cmd/antonbench -experiment shards -full
 	$(GO) run ./cmd/antonbench -shards-json BENCH_shards.json -full

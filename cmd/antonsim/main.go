@@ -59,7 +59,6 @@ func main() {
 		name    = flag.String("system", "gpW", "named system (see -list) or 'small'")
 		nodes   = flag.Int("nodes", 8, "Anton node count to simulate (power of two)")
 		shards  = flag.Int("shards", 0, "run the sharded virtual-node pipeline with this many shards (power of two, overrides -nodes; 0 = monolithic engine)")
-		overlap = flag.String("overlap", "on", "sharded pipeline mode: 'on' streams per-subbox dependency groups with compressed frames, 'off' is the barrier escape hatch (trajectory identical either way)")
 		steps   = flag.Int("steps", 20, "time steps to run")
 		temp    = flag.Float64("temp", 300, "thermostat target temperature, K (0 = NVE)")
 		list    = flag.Bool("list", false, "list available systems and exit")
@@ -146,14 +145,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer sh.Close()
-		switch *overlap {
-		case "on", "":
-		case "off":
-			sh.SetOverlap(false)
-		default:
-			logger.Error("-overlap must be 'on' or 'off'", "got", *overlap)
-			os.Exit(1)
-		}
 		eng = sh.Engine()
 	} else {
 		eng, err = core.NewEngine(s, cfg)
@@ -235,7 +226,6 @@ func main() {
 			spec, _ := json.Marshal(service.JobSpec{
 				System: *name, Steps: *steps, Shards: *shards, Nodes: *nodes,
 				Ensemble: ens, Temperature: *temp, Seed: 2, Chaos: *chaosSpec,
-				Overlap: *overlap,
 			})
 			if err := lw.AppendGenesis(ledger.Genesis{
 				Spec:        spec,

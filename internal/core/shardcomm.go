@@ -167,16 +167,6 @@ type MeasuredComm struct {
 	Export    torus.Stats
 	Mesh      torus.Stats
 	Migration torus.Stats
-
-	// Wire compression of the streaming pipeline, per traffic class (zero
-	// on the barrier path): raw is the uncompressed payload the torus
-	// model routes, wire is the varint frame bytes actually sent
-	// (loopback deliveries excluded). Deterministic for a fixed config —
-	// frame sizes are a function of the trajectory alone.
-	PosRawBytes    int64 `json:"pos_raw_bytes"`
-	PosWireBytes   int64 `json:"pos_wire_bytes"`
-	ForceRawBytes  int64 `json:"force_raw_bytes"`
-	ForceWireBytes int64 `json:"force_wire_bytes"`
 }
 
 // report folds and snapshots the cumulative measured traffic.
@@ -210,17 +200,6 @@ func (m *MeasuredComm) String() string {
 	out += f("force export:", m.ExportMsgs, m.Export)
 	out += f("mesh merge:", m.MeshMsgs, m.Mesh)
 	out += f("migration:", m.MigrationMsgs, m.Migration)
-	if m.PosRawBytes > 0 || m.ForceRawBytes > 0 {
-		ratio := func(raw, wire int64) float64 {
-			if wire == 0 {
-				return 0
-			}
-			return float64(raw) / float64(wire)
-		}
-		out += fmt.Sprintf("    wire compression: pos %d -> %d B (%.2fx), force %d -> %d B (%.2fx)\n",
-			m.PosRawBytes, m.PosWireBytes, ratio(m.PosRawBytes, m.PosWireBytes),
-			m.ForceRawBytes, m.ForceWireBytes, ratio(m.ForceRawBytes, m.ForceWireBytes))
-	}
 	return out
 }
 
@@ -232,11 +211,6 @@ func (s *Sharded) Comm() (*CommReport, error) {
 		return nil, err
 	}
 	rep.Measured = s.comm.report()
-	t := s.streamTotals()
-	rep.Measured.PosRawBytes = t.PosRawB
-	rep.Measured.PosWireBytes = t.PosWireB
-	rep.Measured.ForceRawBytes = t.ForceRawB
-	rep.Measured.ForceWireBytes = t.ForceWireB
 	return rep, nil
 }
 

@@ -27,14 +27,6 @@ import (
 //	S8  constrainPost    RATTLE (owned groups); * Berendsen collective
 //	 *  migration        deferred migration + view rebuild when due
 //
-// With overlap on (the default) the force evaluation S3..S6 collapses
-// into the two streaming stages of shardstream.go, sharing one exchange
-// id: stage A sends compressed position frames and runs the readiness
-// loop (dependency groups execute on arrival, mesh spread fills waits,
-// force frames export before the spread tail), the mesh collective runs
-// between, and stage B merges force frames (buffered early arrivals
-// first). SetOverlap(false) restores the barrier stages below verbatim.
-//
 // The phases reported to the observability layer are the monolithic
 // engine's (no new phase enums): S1/S7 time as Integration, S2/S8 as
 // Constraints, S3 as PairGather, S4 as PairMatch, S6 as PairReduce, and
@@ -147,10 +139,8 @@ func (s *Sharded) stepOnce() *stageFail {
 	return nil
 }
 
-// computeForces runs one force evaluation, dispatching between the
-// streaming pipeline (default; see shardstream.go) and the barrier
-// pipeline kept as the bisection escape hatch (SetOverlap(false)). Both
-// produce bitwise-identical trajectories.
+// computeForces runs one force evaluation, mirroring
+// Engine.computeForces stage for stage.
 func (s *Sharded) computeForces(refresh bool) *stageFail {
 	e := s.E
 
@@ -165,77 +155,7 @@ func (s *Sharded) computeForces(refresh bool) *stageFail {
 		s.migrate()
 	}
 
-	if s.overlap {
-		return s.computeForcesStream(refresh)
-	}
-	return s.computeForcesBarrier(refresh)
-}
-
-// computeForcesStream runs the evaluation through the two streaming
-// stages (one exchange id shared by both): stage A overlaps per-group
-// compute with the import flight and ends with the force exports, the
-// driver runs the mesh collectives, and stage B assembles the canonical
-// forces. Stage A keeps the stExchangePos fault-plane identity (crash
-// points fire there), stage B keeps stMergeForces; the intermediate
-// barrier-path stage ids simply draw no stalls on this path.
-func (s *Sharded) computeForcesStream(refresh bool) *stageFail {
-	e := s.E
-
-	t0 := e.obsNow()
-	x := s.newExchange()
-	if f := s.runEach(stExchangePos,
-		func(st *shardState) { st.sendPositionsStream(x) },
-		func(st *shardState) { st.streamBody(x, refresh) }); f != nil {
-		return f
-	}
-	e.obsPhase(obs.PhasePairMatch, t0)
-	s.comm.noteImport(e.rec)
-
-	if refresh {
-		s.mergeMesh()
-		t0 = e.obsNow()
-		e.mesh.convolve(e.workers())
-		e.obsPhase(obs.PhaseFFT, t0)
-	}
-
 	t0 = e.obsNow()
-	if f := s.runEach(stMergeForces, nil,
-		func(st *shardState) { st.finishForces(x, refresh) }); f != nil {
-		return f
-	}
-	e.obsPhase(obs.PhasePairReduce, t0)
-	s.comm.noteExport(e.rec, refresh)
-
-	s.mergeDiagnostics(refresh)
-	s.noteStream()
-	return nil
-}
-
-// noteStream folds the evaluation's overlap/compression deltas into the
-// obs counters. Driver-serial; the cumulative totals surface through
-// TransportStats and Comm().
-func (s *Sharded) noteStream() {
-	e := s.E
-	if e.rec == nil {
-		return
-	}
-	t := s.streamTotals()
-	d := t.sub(s.lastStream)
-	s.lastStream = t
-	e.rec.Add(obs.CtrStreamOverlapNs, d.OverlapNs)
-	e.rec.Add(obs.CtrStreamBlockedNs, d.BlockedNs)
-	e.rec.Add(obs.CtrPosRawBytes, d.PosRawB)
-	e.rec.Add(obs.CtrPosWireBytes, d.PosWireB)
-	e.rec.Add(obs.CtrForceRawBytes, d.ForceRawB)
-	e.rec.Add(obs.CtrForceWireBytes, d.ForceWireB)
-}
-
-// computeForcesBarrier is the PR 4 barrier-staged evaluation, mirroring
-// Engine.computeForces stage for stage.
-func (s *Sharded) computeForcesBarrier(refresh bool) *stageFail {
-	e := s.E
-
-	t0 := e.obsNow()
 	x := s.newExchange()
 	if f := s.runEach(stExchangePos,
 		func(st *shardState) { st.sendPositions(x) },
@@ -274,8 +194,23 @@ func (s *Sharded) computeForcesBarrier(refresh bool) *stageFail {
 	s.comm.noteExport(e.rec, refresh)
 
 	s.mergeDiagnostics(refresh)
-	s.noteStream() // byte deltas are zero here; blocked ns is the A/B baseline
+	s.noteExchange()
 	return nil
+}
+
+// noteExchange folds the evaluation's blocked-time and payload-byte
+// deltas into the obs counters. Driver-serial; the cumulative totals
+// surface through TransportStats.
+func (s *Sharded) noteExchange() {
+	e := s.E
+	if e.rec == nil {
+		return
+	}
+	t := s.transportTotals()
+	e.rec.Add(obs.CtrStreamBlockedNs, t.BlockedNs-s.lastTally.BlockedNs)
+	e.rec.Add(obs.CtrPosRawBytes, t.PosBytes-s.lastTally.PosBytes)
+	e.rec.Add(obs.CtrForceRawBytes, t.ForceBytes-s.lastTally.ForceBytes)
+	s.lastTally = t
 }
 
 // mergeMesh merges the shards' fixed-point mesh contributions into the

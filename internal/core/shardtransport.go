@@ -11,7 +11,7 @@ import (
 
 // The reliable shard transport. In plain runs (no fault plane attached)
 // the transport is exactly PR 4's: blocking buffered-channel sends and
-// counted receives, with no per-message overhead. With a supervisor
+// counted receives, with no protocol overhead. With a supervisor
 // attached (EnableFaults) every remote message becomes an envelope
 // carrying a recovery epoch, the exchange id, and a payload CRC32; the
 // receiver acks each accepted or duplicate envelope, and the sender
@@ -98,9 +98,21 @@ type outMsg struct {
 	m       shardMsg
 }
 
-// transportTally is one shard's reliable-transport accounting, read by
-// the driver between stages only.
+// Payload sizes as the transport carries them: three int32 fixed-point
+// coordinates per position, three int64 components per force.
+const (
+	posPayloadBytes   = 12
+	forcePayloadBytes = 24
+)
+
+// transportTally is one shard's transport accounting, read by the driver
+// between stages only. The exchange fields (BlockedNs and the payload
+// bytes) are recorded in every run; the rest only under EnableFaults.
 type transportTally struct {
+	BlockedNs  int64 // wall ns blocked on a receive
+	PosBytes   int64 // position payload bytes of remote sends
+	ForceBytes int64 // force payload bytes of remote sends
+
 	Sends         int64 // remote data envelopes first-transmitted
 	Loopbacks     int64 // co-located deliveries (pre-acked)
 	Retransmits   int64 // timeout-driven re-sends
@@ -112,6 +124,9 @@ type transportTally struct {
 }
 
 func (t *transportTally) add(o transportTally) {
+	t.BlockedNs += o.BlockedNs
+	t.PosBytes += o.PosBytes
+	t.ForceBytes += o.ForceBytes
 	t.Sends += o.Sends
 	t.Loopbacks += o.Loopbacks
 	t.Retransmits += o.Retransmits
@@ -122,11 +137,11 @@ func (t *transportTally) add(o transportTally) {
 	t.FullDrops += o.FullDrops
 }
 
-// TransportStats is the summed reliable-transport accounting of a
-// supervised run (all fields zero in plain runs). The trajectory is
-// bitwise invariant under any schedule; these counts are not — spurious
-// retransmits depend on wall timing — so tests assert on the trajectory
-// and treat these as diagnostics.
+// TransportStats is the summed transport accounting of a sharded run.
+// The reliable-transport counts (Sends through FullDrops) are zero in
+// plain runs. The trajectory is bitwise invariant under any schedule;
+// these counts are not — spurious retransmits depend on wall timing — so
+// tests assert on the trajectory and treat these as diagnostics.
 type TransportStats struct {
 	Sends         int64 `json:"sends"`
 	Loopbacks     int64 `json:"loopbacks"`
@@ -137,14 +152,14 @@ type TransportStats struct {
 	AckDrops      int64 `json:"ack_drops"`
 	FullDrops     int64 `json:"full_drops"`
 
-	// Streaming-pipeline accounting. The ns fields measure the overlap
-	// ratio: compute-while-waiting (streaming only) vs blocked on recv
-	// (recorded on both pipelines — the barrier path's blocked time is
-	// the A/B baseline the overlap win is measured against). The byte
-	// fields measure the wire compression per traffic class (raw payload
-	// vs varint frame; loopbacks excluded; zero on the barrier path,
-	// which sends uncompressed). The byte counts are deterministic for a
-	// fixed config, the ns counts are wall clock.
+	// Exchange accounting, recorded in plain and supervised runs alike.
+	// BlockedNs is the wall time shards spent blocked on a receive,
+	// summed over shards. The raw byte fields count the payload of remote
+	// sends (12 B per position, 24 B per force triple; loopbacks and
+	// retransmits excluded) and are a function of the trajectory alone.
+	// Frames go out uncompressed, so each wire field equals its raw
+	// field, and no compute runs while an exchange is open, so OverlapNs
+	// is always 0; both are kept for existing readers of this struct.
 	OverlapNs      int64 `json:"overlap_ns"`
 	BlockedNs      int64 `json:"blocked_ns"`
 	PosRawBytes    int64 `json:"pos_raw_bytes"`
@@ -153,14 +168,10 @@ type TransportStats struct {
 	ForceWireBytes int64 `json:"force_wire_bytes"`
 }
 
-// TransportStats sums the per-shard transport and stream tallies. Call
-// it between Step calls (driver-serial), e.g. from an OnStep hook.
+// TransportStats sums the per-shard transport tallies. Call it between
+// Step calls (driver-serial), e.g. from an OnStep hook.
 func (s *Sharded) TransportStats() TransportStats {
-	var t transportTally
-	for _, st := range s.shards {
-		t.add(st.tstats)
-	}
-	sm := s.streamTotals()
+	t := s.transportTotals()
 	return TransportStats{
 		Sends:          t.Sends,
 		Loopbacks:      t.Loopbacks,
@@ -170,13 +181,21 @@ func (s *Sharded) TransportStats() TransportStats {
 		StaleDiscards:  t.StaleDiscards,
 		AckDrops:       t.AckDrops,
 		FullDrops:      t.FullDrops,
-		OverlapNs:      sm.OverlapNs,
-		BlockedNs:      sm.BlockedNs,
-		PosRawBytes:    sm.PosRawB,
-		PosWireBytes:   sm.PosWireB,
-		ForceRawBytes:  sm.ForceRawB,
-		ForceWireBytes: sm.ForceWireB,
+		BlockedNs:      t.BlockedNs,
+		PosRawBytes:    t.PosBytes,
+		PosWireBytes:   t.PosBytes,
+		ForceRawBytes:  t.ForceBytes,
+		ForceWireBytes: t.ForceBytes,
 	}
+}
+
+// transportTotals sums the per-shard transport tallies. Driver-serial.
+func (s *Sharded) transportTotals() transportTally {
+	var t transportTally
+	for _, st := range s.shards {
+		t.add(st.tstats)
+	}
+	return t
 }
 
 // TransportCounts returns cumulative (sends, retransmits) — the health
@@ -194,6 +213,7 @@ func (st *shardState) beginSend() {
 // sendMsg transmits one data message, dispatching on transport mode.
 func (st *shardState) sendMsg(x *xchg, dst int32, kind uint8, pos []fixp.Vec3, f []Force3) {
 	if !x.reliable() {
+		st.notePayload(pos, f)
 		st.s.shards[dst].inbox <- shardMsg{from: st.id, kind: kind, pos: pos, f: f}
 		return
 	}
@@ -215,10 +235,17 @@ func (st *shardState) sendMsg(x *xchg, dst int32, kind uint8, pos []fixp.Vec3, f
 		}
 		return
 	}
+	st.notePayload(pos, f)
 	m.crc = st.payloadCRC(pos, f)
 	st.out = append(st.out, outMsg{dst: dst, kind: kind, attempt: 1, m: m})
 	st.tstats.Sends++
 	st.deliver(x, &st.out[len(st.out)-1])
+}
+
+// notePayload counts one remote send's payload bytes.
+func (st *shardState) notePayload(pos []fixp.Vec3, f []Force3) {
+	st.tstats.PosBytes += int64(len(pos)) * posPayloadBytes
+	st.tstats.ForceBytes += int64(len(f)) * forcePayloadBytes
 }
 
 // deliver pushes one attempt of an in-flight message through the fault
@@ -325,12 +352,10 @@ func (st *shardState) runProtocol(x *xchg, expect int, apply func(*shardMsg) boo
 			select {
 			case m = <-st.inbox:
 			default:
-				// Nothing queued: this wait is the barrier path's
-				// blocked-on-recv time, the baseline the streaming
-				// pipeline's overlap is measured against.
-				t0 := streamNow()
+				// Nothing queued: this wait is blocked-on-recv time.
+				t0 := time.Now()
 				m = <-st.inbox
-				st.stream.BlockedNs += streamNow() - t0
+				st.tstats.BlockedNs += int64(time.Since(t0))
 			}
 			if apply(&m) {
 				applied++
@@ -357,9 +382,9 @@ func (st *shardState) runProtocol(x *xchg, expect int, apply func(*shardMsg) boo
 	defer timer.Stop()
 	for applied < expect || unsettled > 0 {
 		progressed := false
-		// The select wait is the barrier path's blocked-on-recv time (an
-		// already-queued message returns immediately and adds ~nothing).
-		t0 := streamNow()
+		// The select wait is blocked-on-recv time (an already-queued
+		// message returns immediately and adds ~nothing).
+		t0 := time.Now()
 		select {
 		case m := <-st.inbox:
 			st.handleData(x, &m, apply, &applied)
@@ -401,7 +426,7 @@ func (st *shardState) runProtocol(x *xchg, expect int, apply func(*shardMsg) boo
 			}
 			timer.Reset(rto)
 		}
-		st.stream.BlockedNs += streamNow() - t0
+		st.tstats.BlockedNs += int64(time.Since(t0))
 		if progressed {
 			if !timer.Stop() {
 				select {
@@ -466,12 +491,6 @@ func (st *shardState) payloadCRC(pos []fixp.Vec3, f []Force3) uint32 {
 // retransmitted intact).
 func corruptMsg(m shardMsg, raw uint64) shardMsg {
 	switch {
-	case len(m.frame) > 0:
-		cp := make([]byte, len(m.frame))
-		copy(cp, m.frame)
-		bit := raw % uint64(len(cp)*8)
-		cp[bit/8] ^= 1 << (bit % 8)
-		m.frame = cp
 	case len(m.pos) > 0:
 		cp := make([]fixp.Vec3, len(m.pos))
 		copy(cp, m.pos)

@@ -23,30 +23,20 @@ type ShardPhaseTraffic struct {
 	BusiestLinkB int64 `json:"busiest_link_bytes"`
 }
 
-// ShardScalingRow is one (shard count, pipeline) configuration's
-// measurements in the shard-scaling experiment (the BENCH_shards.json
-// record). Each shard count runs twice — streaming (overlap true) and
-// barrier (overlap false) — so the overlap win is an A/B measurement,
-// not an inference.
+// ShardScalingRow is one shard count's measurements in the
+// shard-scaling experiment (the BENCH_shards.json record).
 type ShardScalingRow struct {
 	Shards       int     `json:"shards"`
-	Overlap      bool    `json:"overlap"` // streaming pipeline (A) vs barrier pipeline (B)
 	WallMs       float64 `json:"wall_ms"`
 	StepsPerSec  float64 `json:"steps_per_sec"`
 	BitwiseMatch bool    `json:"bitwise_match"` // trajectory identical to monolithic reference
 
-	// Pipeline accounting: total and per-shard-mean blocked-on-recv ns
-	// (recorded on both pipelines — the barrier rows are the baseline),
-	// compute-while-waiting ns, and the wire compression per traffic
-	// class (streaming rows only; the barrier path sends uncompressed).
-	BlockedNs        int64   `json:"blocked_ns"`
-	BlockedNsShard   int64   `json:"blocked_ns_per_shard"`
-	OverlapNs        int64   `json:"overlap_ns"`
-	PosRawBytes      int64   `json:"pos_raw_bytes"`
-	PosWireBytes     int64   `json:"pos_wire_bytes"`
-	ForceRawBytes    int64   `json:"force_raw_bytes"`
-	ForceWireBytes   int64   `json:"force_wire_bytes"`
-	CompressionRatio float64 `json:"compression_ratio"` // raw/wire over both classes
+	// Exchange accounting: total and per-shard-mean blocked-on-recv ns,
+	// and the payload bytes of remote sends per traffic class.
+	BlockedNs      int64 `json:"blocked_ns"`
+	BlockedNsShard int64 `json:"blocked_ns_per_shard"`
+	PosRawBytes    int64 `json:"pos_raw_bytes"`
+	ForceRawBytes  int64 `json:"force_raw_bytes"`
 
 	Evals     int64             `json:"force_evals"`
 	Import    ShardPhaseTraffic `json:"import"`
@@ -118,69 +108,58 @@ func shardScalingData(steps int) (*ShardScalingData, error) {
 	d.StateDigest = refDigest
 
 	for _, shards := range []int{1, 8, 64, 512} {
-		for _, overlap := range []bool{true, false} {
-			sys, err := system.Small(true, 21)
-			if err != nil {
-				return nil, err
-			}
-			sh, err := core.NewSharded(sys, core.DefaultConfig(shards))
-			if err != nil {
-				return nil, err
-			}
-			sh.SetOverlap(overlap)
-			rng := rand.New(rand.NewSource(33))
-			sh.SetVelocities(system.InitVelocities(sys.Top, 300, rng))
-
-			start := time.Now()
-			sh.Step(steps)
-			wall := time.Since(start)
-
-			rep, err := sh.Comm()
-			if err != nil {
-				sh.Close()
-				return nil, err
-			}
-			m := rep.Measured
-			ts := sh.TransportStats()
-
-			p, v := sh.Snapshot()
-			match := true
-			for i := range refP {
-				if p[i] != refP[i] || v[i] != refV[i] {
-					match = false
-					break
-				}
-			}
-			sh.Close()
-
-			row := ShardScalingRow{
-				Shards:         shards,
-				Overlap:        overlap,
-				WallMs:         float64(wall.Nanoseconds()) / 1e6,
-				StepsPerSec:    float64(steps) / wall.Seconds(),
-				BitwiseMatch:   match,
-				BlockedNs:      ts.BlockedNs,
-				BlockedNsShard: ts.BlockedNs / int64(shards),
-				OverlapNs:      ts.OverlapNs,
-				PosRawBytes:    ts.PosRawBytes,
-				PosWireBytes:   ts.PosWireBytes,
-				ForceRawBytes:  ts.ForceRawBytes,
-				ForceWireBytes: ts.ForceWireBytes,
-				Evals:          m.Evals,
-				Import: ShardPhaseTraffic{m.ImportMsgs, m.Import.PayloadBytes,
-					m.Import.MaxHops, m.Import.BusiestChannelBytes},
-				Export: ShardPhaseTraffic{m.ExportMsgs, m.Export.PayloadBytes,
-					m.Export.MaxHops, m.Export.BusiestChannelBytes},
-				Mesh: ShardPhaseTraffic{m.MeshMsgs, m.Mesh.PayloadBytes,
-					m.Mesh.MaxHops, m.Mesh.BusiestChannelBytes},
-				Migration: ShardPhaseTraffic{m.MigrationMsgs, m.Migration.PayloadBytes,
-					m.Migration.MaxHops, m.Migration.BusiestChannelBytes},
-			}
-			if wire := row.PosWireBytes + row.ForceWireBytes; wire > 0 {
-				row.CompressionRatio = float64(row.PosRawBytes+row.ForceRawBytes) / float64(wire)
-			}
-			d.Rows = append(d.Rows, row)
+		sys, err := system.Small(true, 21)
+		if err != nil {
+			return nil, err
 		}
+		sh, err := core.NewSharded(sys, core.DefaultConfig(shards))
+		if err != nil {
+			return nil, err
+		}
+		rng := rand.New(rand.NewSource(33))
+		sh.SetVelocities(system.InitVelocities(sys.Top, 300, rng))
+
+		start := time.Now()
+		sh.Step(steps)
+		wall := time.Since(start)
+
+		rep, err := sh.Comm()
+		if err != nil {
+			sh.Close()
+			return nil, err
+		}
+		m := rep.Measured
+		ts := sh.TransportStats()
+
+		p, v := sh.Snapshot()
+		match := true
+		for i := range refP {
+			if p[i] != refP[i] || v[i] != refV[i] {
+				match = false
+				break
+			}
+		}
+		sh.Close()
+
+		d.Rows = append(d.Rows, ShardScalingRow{
+			Shards:         shards,
+			WallMs:         float64(wall.Nanoseconds()) / 1e6,
+			StepsPerSec:    float64(steps) / wall.Seconds(),
+			BitwiseMatch:   match,
+			BlockedNs:      ts.BlockedNs,
+			BlockedNsShard: ts.BlockedNs / int64(shards),
+			PosRawBytes:    ts.PosRawBytes,
+			ForceRawBytes:  ts.ForceRawBytes,
+			Evals:          m.Evals,
+			Import: ShardPhaseTraffic{m.ImportMsgs, m.Import.PayloadBytes,
+				m.Import.MaxHops, m.Import.BusiestChannelBytes},
+			Export: ShardPhaseTraffic{m.ExportMsgs, m.Export.PayloadBytes,
+				m.Export.MaxHops, m.Export.BusiestChannelBytes},
+			Mesh: ShardPhaseTraffic{m.MeshMsgs, m.Mesh.PayloadBytes,
+				m.Mesh.MaxHops, m.Mesh.BusiestChannelBytes},
+			Migration: ShardPhaseTraffic{m.MigrationMsgs, m.Migration.PayloadBytes,
+				m.Migration.MaxHops, m.Migration.BusiestChannelBytes},
+		})
 	}
 	return d, nil
 }
@@ -209,32 +188,23 @@ func renderShardScaling(d *ShardScalingData) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Sharded virtual-node scaling (%s, %d atoms, %d steps per run):\n",
 		d.System, d.Atoms, d.Steps)
-	fmt.Fprintf(&b, "%7s %8s %10s %9s %11s %7s %10s %10s %10s %10s  %s\n",
-		"shards", "overlap", "steps/s", "wall ms", "blocked ms", "wire/raw",
+	fmt.Fprintf(&b, "%7s %10s %9s %11s %10s %10s %10s %10s %10s  %s\n",
+		"shards", "steps/s", "wall ms", "blocked ms", "payload KB",
 		"import", "export", "mesh", "migration", "bitwise")
 	for _, r := range d.Rows {
 		match := "match"
 		if !r.BitwiseMatch {
 			match = "DIVERGED"
 		}
-		ov := "off"
-		blocked := fmt.Sprintf("%.1f", float64(r.BlockedNs)/1e6)
-		ratio := "-"
-		if r.Overlap {
-			ov = "on"
-			if r.CompressionRatio > 0 {
-				ratio = fmt.Sprintf("%.3f", 1/r.CompressionRatio)
-			}
-		}
-		fmt.Fprintf(&b, "%7d %8s %10.2f %9.0f %11s %7s %10d %10d %10d %10d  %s\n",
-			r.Shards, ov, r.StepsPerSec, r.WallMs, blocked, ratio,
+		fmt.Fprintf(&b, "%7d %10.2f %9.0f %11.1f %10.1f %10d %10d %10d %10d  %s\n",
+			r.Shards, r.StepsPerSec, r.WallMs, float64(r.BlockedNs)/1e6,
+			float64(r.PosRawBytes+r.ForceRawBytes)/1e3,
 			r.Import.Messages, r.Export.Messages, r.Mesh.Messages, r.Migration.Messages, match)
 	}
 	fmt.Fprintf(&b, "(message counts are measured over the whole run, %d force evaluations;\n", d.Rows[0].Evals)
 	fmt.Fprintf(&b, " a single host runs every shard, so steps/s falls as goroutine and\n")
 	fmt.Fprintf(&b, " message overhead grows — the traffic columns are the scaling payload.\n")
-	fmt.Fprintf(&b, " overlap=on rows stream per-subbox dependency groups and compress the\n")
-	fmt.Fprintf(&b, " wire: blocked ms is total recv-wait across shards, wire/raw is the\n")
-	fmt.Fprintf(&b, " compressed fraction of the raw import+export payload)\n")
+	fmt.Fprintf(&b, " blocked ms is total recv-wait across shards, payload KB the position\n")
+	fmt.Fprintf(&b, " and force bytes of remote sends)\n")
 	return b.String()
 }

@@ -124,19 +124,12 @@ const (
 	CtrLedgerCommits // Merkle batch commits sealed (each is one fsync)
 	CtrLedgerBytes   // bytes appended to the ledger file
 
-	// Streaming shard-pipeline counters (zero on the barrier path and in
-	// monolithic runs). The overlap ratio is stream-overlap-ns over
-	// (stream-overlap-ns + stream-blocked-ns): time a shard spent computing
-	// while imports were still in flight vs time it sat blocked on a
-	// receive. The byte counters measure the wire compression per traffic
-	// class: raw is the uncompressed payload size (12 B/position,
-	// 24 B/force component triple), wire is the varint frame actually sent.
-	CtrStreamOverlapNs // ns computing while imports were still in flight
-	CtrStreamBlockedNs // ns blocked on a receive with no ready work
-	CtrPosRawBytes     // position payload bytes before compression
-	CtrPosWireBytes    // position frame bytes on the wire
-	CtrForceRawBytes   // force payload bytes before compression
-	CtrForceWireBytes  // force frame bytes on the wire
+	// Shard-exchange counters (zero in monolithic runs): wall time shards
+	// sat blocked on a receive, summed over shards, and the payload bytes
+	// of remote sends per traffic class (12 B/position, 24 B/force triple).
+	CtrStreamBlockedNs // ns blocked on a receive
+	CtrPosRawBytes     // position payload bytes sent
+	CtrForceRawBytes   // force payload bytes sent
 	NumCounters
 )
 
@@ -150,9 +143,7 @@ var counterNames = [NumCounters]string{
 	"fault-stalls", "fault-crashes", "retransmits", "dup-discards",
 	"crc-discards", "recoveries", "replay-steps", "recovery-ns",
 	"ledger-records", "ledger-commits", "ledger-bytes",
-	"stream-overlap-ns", "stream-blocked-ns",
-	"pos-raw-bytes", "pos-wire-bytes",
-	"force-raw-bytes", "force-wire-bytes",
+	"stream-blocked-ns", "pos-raw-bytes", "force-raw-bytes",
 }
 
 // String returns the counter's stable name.

@@ -15,9 +15,13 @@ import (
 // when a field changes meaning. v4 adds the run-ledger counters
 // (ledger-records/-commits/-bytes) and the state_digest field in the
 // structured BENCH records. v5 adds the streaming shard-pipeline
-// counters (stream-overlap-ns/-blocked-ns, pos-/force-raw/wire-bytes)
-// and the overlap A/B + compression columns in BENCH_shards.json.
-const SchemaVersion = "anton-obs/v5"
+// counters (overlap and blocked ns, raw and wire bytes per traffic
+// class) and the overlap A/B + compression columns in BENCH_shards.json.
+// v6 removes the streaming pipeline: the overlap ns and wire-byte
+// counters go, stream-blocked-ns and the raw-byte counters now measure
+// the barrier pipeline, and BENCH_shards.json has one row per shard
+// count without the overlap and compression columns.
+const SchemaVersion = "anton-obs/v6"
 
 // The step tracer records per-step, per-phase spans from the engine plus
 // simulated per-node lanes derived from the machine performance model and

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -74,8 +75,7 @@ func TestJobSpecNormalize(t *testing.T) {
 		t.Fatal(err)
 	}
 	if good.Ensemble != "nvt" || good.Temperature != 300 || good.Seed != DefaultSeed ||
-		good.Nodes != DefaultNodes || good.CheckpointEvery != DefaultCheckpointEvery ||
-		good.Overlap != "on" {
+		good.Nodes != DefaultNodes || good.CheckpointEvery != DefaultCheckpointEvery {
 		t.Fatalf("defaults not applied: %+v", good)
 	}
 	bad := []JobSpec{
@@ -89,7 +89,6 @@ func TestJobSpecNormalize(t *testing.T) {
 		{System: "small", Steps: 10, Chaos: "drop=0.1"}, // chaos without shards
 		{System: "small", Steps: 10, Shards: 2, Chaos: "bogus"},
 		{System: "small", Steps: 10, CheckpointEvery: -5},
-		{System: "small", Steps: 10, Shards: 2, Overlap: "maybe"},
 	}
 	for i, s := range bad {
 		if err := s.Normalize(); err == nil {
@@ -321,6 +320,75 @@ func TestDaemonKillRestartDurability(t *testing.T) {
 	want := referenceDigest(t, spec)
 	if final.Digest != want {
 		t.Fatalf("interrupted+resumed digest %s != uninterrupted reference %s", final.Digest, want)
+	}
+}
+
+// TestDaemonRecoversLegacyOverlapSpec: status records written when the
+// job spec still carried the pipeline-mode field ("overlap": "on" or
+// "off") must load at the open scan, recover, and run to the digest of
+// a direct run — the store decodes leniently, so the field is ignored.
+func TestDaemonRecoversLegacyOverlapSpec(t *testing.T) {
+	skipShort(t)
+	dir := t.TempDir()
+	spec := JobSpec{System: "small", Steps: 30, Shards: 8, CheckpointEvery: 10, Seed: 5}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, mode := range []string{"on", "off"} {
+		js, err := st.Create(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(st.Dir(js.ID), "status.json")
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		legacy := strings.Replace(string(b), `"spec": {`, `"spec": {"overlap": "`+mode+`",`, 1)
+		if legacy == string(b) {
+			t.Fatalf("status record has no spec object: %s", b)
+		}
+		if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, js.ID)
+	}
+
+	d := newTestDaemon(t, Config{StateDir: dir, Workers: 1})
+	if q := d.store.Quarantined(); len(q) != 0 {
+		t.Fatalf("legacy records quarantined at scan: %v", q)
+	}
+	d.Start()
+	defer d.Kill()
+	want := referenceDigest(t, spec)
+	for _, id := range ids {
+		final := waitJob(t, d, id, 5*time.Minute, func(j JobStatus) bool { return j.State.terminal() })
+		if final.State != StateDone {
+			t.Fatalf("legacy job %s ended %s (err %q), want done", id, final.State, final.Error)
+		}
+		if final.Digest != want {
+			t.Fatalf("legacy job %s digest %s != direct run %s", id, final.Digest, want)
+		}
+	}
+
+	// A new submission still carrying the field is rejected like any
+	// other unknown field.
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Post(srv.URL+"/api/v1/jobs", "application/json",
+		strings.NewReader(`{"system":"small","steps":5,"shards":2,"overlap":"on"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submit with overlap field: %d, want 400", resp.StatusCode)
 	}
 }
 

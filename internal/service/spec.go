@@ -84,13 +84,6 @@ type JobSpec struct {
 	// "seed=7,drop=0.02,crashes=1". Requires Shards > 0.
 	Chaos string `json:"chaos,omitempty"`
 
-	// Overlap selects the sharded pipeline mode: "on" (the default)
-	// streams per-subbox dependency groups with compressed frames, "off"
-	// is the barrier escape hatch. A pure performance knob — the
-	// trajectory is bitwise identical either way. Ignored when Shards is
-	// zero.
-	Overlap string `json:"overlap,omitempty"`
-
 	// IdempotencyKey makes submission retry-safe: a second submit with
 	// the same key returns the original job instead of creating a
 	// duplicate. Keys are client-chosen, at most 128 characters, and
@@ -155,13 +148,6 @@ func (j *JobSpec) Normalize() error {
 	}
 	if j.CheckpointEvery < 0 {
 		return fmt.Errorf("service: job spec: negative checkpoint_every %d", j.CheckpointEvery)
-	}
-	switch j.Overlap {
-	case "":
-		j.Overlap = "on"
-	case "on", "off":
-	default:
-		return fmt.Errorf("service: job spec: overlap must be on or off, got %q", j.Overlap)
 	}
 	if j.Chaos != "" {
 		if j.Shards == 0 {

@@ -49,9 +49,6 @@ func BuildSim(spec JobSpec) (core.Sim, *core.Engine, *core.Sharded, error) {
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("service: building sharded engine: %w", err)
 		}
-		if spec.Overlap == "off" {
-			sh.SetOverlap(false)
-		}
 		eng = sh.Engine()
 	} else {
 		eng, err = core.NewEngine(s, cfg)

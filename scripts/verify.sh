@@ -45,21 +45,18 @@ echo "== race: sharded virtual-node pipeline =="
 go test -race -run 'TestShardInvariance|TestShardCheckpointCrossShardCount' \
 	./internal/core
 
-echo "== race: streaming exchange (8 and 64 shards) =="
-# The streaming pipeline's readiness ledger runs compute in arrival
-# order while the receive loop mutates the same shard state; the
-# reorder campaigns (8 and 64 shards, delay/stall/dup-heavy planes) and
-# the mid-run pipeline toggle are the densest interleavings we have.
-go test -race -run 'TestStreamChaosReorder|TestStreamOverlapToggleMidRun' \
+echo "== race: shard exchange reorder (8 and 64 shards) =="
+# The reorder campaigns (8 and 64 shards, delay/stall/dup-heavy planes)
+# are the densest delivery interleavings the reliable transport sees;
+# the 8-shard migration-on-refresh test runs the same pipeline over the
+# plain transport alongside them.
+go test -race -run 'TestShardChaosReorder|TestShardMigrationCoincidesWithRefresh' \
 	./internal/core
 
-echo "== stream: wire codec round-trip + determinism =="
-# The compressed-frame codecs must be lossless for every bit pattern
-# (the bitwise-trajectory contract rides on modular wraparound), and
-# the wire byte counts must be a pure function of the trajectory:
-# -count=2 runs each twice in one process so state leaks cannot hide.
-go test -count=2 -run 'TestCodecRoundTrip|TestCodecDeltaChaining|TestStreamWireDeterminism' \
-	./internal/core
+echo "== shard exchange: payload byte determinism =="
+# The payload byte counts must be a pure function of the trajectory:
+# -count=2 runs the test twice in one process so state leaks cannot hide.
+go test -count=2 -run 'TestShardWireBytesDeterminism' ./internal/core
 
 echo "== race: telemetry lifecycle =="
 # The Telemetry shutdown/serve lifecycle is hit concurrently by the
@@ -101,7 +98,7 @@ echo "== race: service durability e2e =="
 # last durable checkpoint, graceful drain resumes from the stop
 # boundary — both bitwise identical to an uninterrupted reference run —
 # and the per-job provenance ledger survives resume and detects tamper.
-go test -race -run 'TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics' \
+go test -race -run 'TestServiceHTTP|TestCancel|TestDaemonKillRestartDurability|TestDaemonRecoversLegacyOverlapSpec|TestGracefulStopPersistsBoundary|TestJobLedger|TestDaemonWorkerMetrics' \
 	./internal/service
 
 echo "== race: service chaos (hostile-disk campaign) =="
