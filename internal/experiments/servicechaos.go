@@ -254,6 +254,10 @@ func serviceChaosData(steps int) (*ServiceChaosData, error) {
 	d.WallMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	harvest(dm.Stats())
 	d.Injected = fs.Counts()
+	// Workers count as busy through their deferred cleanup, a moment
+	// after the terminal state the loop above saw: sample the pool once
+	// it is idle, or after a grace only a worker that never returns hits.
+	dm.AwaitIdle(30 * time.Second)
 	d.WedgedWorkers = dm.BusyWorkers()
 	d.QueueDepth = dm.QueueDepth()
 	defer dm.Kill()

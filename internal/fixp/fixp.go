@@ -79,27 +79,24 @@ func (f F32) MulRaw(g F32) int64 { return int64(f) * int64(g) }
 func (f F32) String() string { return fmt.Sprintf("%.10f", f.Float()) }
 
 // RoundShift shifts x right by s bits, rounding to nearest with ties to
-// even — the rounding rule used throughout the Anton ASIC. It is odd-
-// symmetric: RoundShift(-x, s) == -RoundShift(x, s) for all x whose
-// negation does not overflow, which is what makes the integrator exactly
-// reversible.
+// even — the rounding rule used throughout the Anton ASIC. It is exact
+// for every int64 x and every s in [0, 63]; larger s is outside its
+// domain. It is odd-symmetric: RoundShift(-x, s) == -RoundShift(x, s)
+// for all x whose negation does not overflow, which is what makes the
+// integrator exactly reversible.
+//
+// It is branch-free. With mask = 2^s-1, q = x>>s (floor) and the
+// discarded fraction f = x&mask, the carry into q is the bit 2^s of
+// f + (2^(s-1)-1) + (q&1): f > half carries, f == half carries exactly
+// when q is odd, f < half never does. The three terms are at most
+// 2^s-1, 2^(s-1)-1 and 1, so the sum stays below 2^(s+1) <= 2^64 in
+// uint64 and the carry is 0 or 1. For s == 0 the mask is 0 and so are
+// all three terms. q+carry cannot overflow: carry is 1 only when s >= 1,
+// where q <= 2^(63-s)-1.
 func RoundShift(x int64, s uint) int64 {
-	if s == 0 {
-		return x
-	}
-	half := int64(1) << (s - 1)
-	mask := (int64(1) << s) - 1
-	frac := x & mask
-	q := x >> s // arithmetic shift: floor division
-	switch {
-	case frac > half:
-		q++
-	case frac == half:
-		if q&1 != 0 { // tie: round to even
-			q++
-		}
-	}
-	return q
+	mask := int64(1)<<s - 1
+	q := x >> s
+	return q + int64((uint64(x&mask)+uint64(mask>>1)+uint64(q&mask&1))>>s)
 }
 
 // Sat32 clamps a 64-bit value into int32 range. Most Anton datapaths wrap,

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -165,10 +166,10 @@ func TestTelemetrySet(t *testing.T) {
 	set.Drop("a") // idempotent
 }
 
-// TestTelemetrySetDropRace: Drop racing Acquire, publishes and
-// ServeEndpoint across many keys must be data-race free (the verify.sh
-// obs gate runs this under -race). Requests resolve to either the live
-// surface or a 404 — never a torn read.
+// TestTelemetrySetDropRace: Drop and Retire racing Acquire, publishes
+// and ServeEndpoint across many keys must be data-race free (the
+// verify.sh obs gate runs this under -race). Requests resolve to either
+// the live surface or a 404 — never a torn read.
 func TestTelemetrySetDropRace(t *testing.T) {
 	set := NewTelemetrySet()
 	keys := []string{"job-1", "job-2", "job-3", "job-4"}
@@ -190,7 +191,7 @@ func TestTelemetrySetDropRace(t *testing.T) {
 				tel.PublishSample(StepSample{Step: 1})
 			}
 		}(k)
-		// Reaper: drop the same key concurrently.
+		// Reaper: retire and drop the same key concurrently.
 		go func(k string) {
 			defer wg.Done()
 			for {
@@ -199,10 +200,27 @@ func TestTelemetrySetDropRace(t *testing.T) {
 					return
 				default:
 				}
+				set.Retire(k)
 				set.Drop(k)
 			}
 		}(k)
 	}
+	// Churner: finish more jobs than the set retains, so evictions run
+	// concurrently with everything above.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			k := fmt.Sprintf("done-%d", i%(2*RetainedTerminal))
+			set.Acquire(k).PublishSample(StepSample{Step: 1})
+			set.Retire(k)
+		}
+	}()
 	// Scrapers: route requests across all keys while the churn runs.
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -262,5 +280,68 @@ func TestTelemetrySetDropServes404(t *testing.T) {
 	// surface's state.
 	if set.Acquire("job-9") == tel {
 		t.Fatal("Acquire after Drop returned the dropped surface")
+	}
+}
+
+// TestTelemetrySetRetention: retired (terminal) surfaces are kept only
+// for the RetainedTerminal most recent keys, the newest terminal one
+// still serves its trace, and a surface that was never retired — a
+// running job's — survives any number of retirements around it.
+func TestTelemetrySetRetention(t *testing.T) {
+	set := NewTelemetrySet()
+	running := set.Acquire("running")
+	running.PublishSample(StepSample{Step: 1})
+	trace := func(key string) int {
+		w := httptest.NewRecorder()
+		set.ServeEndpoint(w, httptest.NewRequest("GET", "/trace", nil), key, "trace")
+		return w.Code
+	}
+	const extra = 5
+	for i := 0; i < RetainedTerminal+extra; i++ {
+		key := fmt.Sprintf("job-%d", i)
+		tel := set.Acquire(key)
+		if err := tel.PublishTrace(NewTracer(16)); err != nil {
+			t.Fatal(err)
+		}
+		set.Retire(key)
+		if trace(key) != http.StatusOK {
+			t.Fatalf("newest terminal %s: trace not served", key)
+		}
+		if n := len(set.Keys()); n > RetainedTerminal+1 {
+			t.Fatalf("after %d jobs the set holds %d surfaces, want at most %d", i+1, n, RetainedTerminal+1)
+		}
+	}
+	if set.Get("running") != running {
+		t.Fatal("running surface evicted")
+	}
+	for i := 0; i < extra; i++ {
+		if code := trace(fmt.Sprintf("job-%d", i)); code != http.StatusNotFound {
+			t.Fatalf("evicted job-%d: trace %d, want 404", i, code)
+		}
+	}
+	if got := len(set.Keys()); got != RetainedTerminal+1 {
+		t.Fatalf("set holds %d surfaces, want %d", got, RetainedTerminal+1)
+	}
+
+	// Re-acquiring a retired key makes it live again: it is not evicted
+	// by later retirements; retiring twice keeps one entry.
+	last := fmt.Sprintf("job-%d", RetainedTerminal+extra-1)
+	set.Acquire(last)
+	set.Retire("running")
+	set.Retire("running")
+	for i := 0; i < 2*RetainedTerminal; i++ {
+		key := fmt.Sprintf("later-%d", i)
+		set.Acquire(key)
+		set.Retire(key)
+	}
+	if set.Get(last) == nil {
+		t.Fatal("re-acquired surface evicted")
+	}
+	if set.Get("running") != nil {
+		t.Fatal("retired surface outlived RetainedTerminal newer retirements")
+	}
+	set.Retire("absent") // no-op
+	if set.Get("absent") != nil {
+		t.Fatal("Retire created a surface")
 	}
 }

@@ -74,6 +74,12 @@ func ReadTable(r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("ppip: unsupported table version %d", hdr[1])
 	}
 	t := &Table{MantissaBits: uint(hdr[2]), TBits: uint(hdr[3])}
+	// Mantissas as Build bounds them, in [8,32] bits, and TBits small
+	// enough that the Horner products acc*tq fit in int64: |acc| stays
+	// below 1.5*2^MantissaBits and tq <= 2^TBits.
+	if t.MantissaBits < 8 || t.MantissaBits > 32 || t.TBits < 1 || t.MantissaBits+t.TBits > 62 {
+		return nil, fmt.Errorf("ppip: implausible widths: %d-bit mantissas, %d-bit t", t.MantissaBits, t.TBits)
+	}
 	nTiers := int(hdr[4])
 	if nTiers <= 0 || nTiers > 64 {
 		return nil, fmt.Errorf("ppip: implausible tier count %d", nTiers)
@@ -114,6 +120,6 @@ func ReadTable(r io.Reader) (*Table, error) {
 		seg.Exp = int(exp)
 		t.Segments = append(t.Segments, seg)
 	}
-	t.initScale()
+	t.index()
 	return t, nil
 }

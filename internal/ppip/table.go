@@ -80,6 +80,13 @@ type Table struct {
 	// coefficients for error analysis.
 	FloatCoeffs [][4]float64
 
+	// The lookup index, built by index() from the scheme and segments
+	// (Build and ReadTable call it; a Table must come from one of them).
+	tiers  []tierIndex // per-tier constants of the segment formula
+	tierOf []int32     // grid cell of x -> first tier that can hold x
+	gridN  float64     // cells per unit x: len(tierOf), a power of two
+	spans  []span      // per-segment local-coordinate constants
+
 	// scale caches 2^Exp / 2^(MantissaBits-1) per segment so Evaluate
 	// applies the block exponent with one multiply instead of a Exp2 call
 	// per evaluation. Both factors are exact powers of two, so the cached
@@ -87,14 +94,85 @@ type Table struct {
 	scale []float64
 }
 
-// initScale (re)builds the per-segment output scale cache. Build and the
-// deserializer call it; Evaluate falls back to the explicit computation
-// for tables constructed by hand without it.
-func (t *Table) initScale() {
-	half := float64(int64(1) << (t.MantissaBits - 1))
+// tierIndex holds what segmentIndex needs of one tier: the segment
+// number is base + int((x-start)/w), with w the tier's segment width.
+type tierIndex struct {
+	start, end float64
+	w, inv     float64 // inv = 1/w when w is a power of two, else 0
+	base       int     // index of the tier's first segment
+	entries    int
+}
+
+// span holds what Locate needs of one segment: t = (x-lo)/w with
+// w = Hi-Lo.
+type span struct {
+	lo, w, inv float64 // inv as in tierIndex
+}
+
+// belowOne is the largest float64 below 1, math.Nextafter(1, 0).
+const belowOne = 1 - 0x1p-53
+
+// maxGrid caps the tier grid of index(): a scheme whose narrowest tier
+// is finer than 1/maxGrid still looks up exactly, walking the few tiers
+// a grid cell straddles.
+const maxGrid = 1 << 12
+
+// pow2Recip returns 1/w when w is a power of two with a finite
+// reciprocal, and 0 otherwise. For such w, y*(1/w) and y/w are both the
+// correctly rounded value of the same real number, so they are the same
+// float64 for every y (NaN, infinities and subnormals included).
+func pow2Recip(w float64) float64 {
+	if frac, _ := math.Frexp(w); frac != 0.5 {
+		return 0
+	}
+	if inv := 1 / w; !math.IsInf(inv, 0) {
+		return inv
+	}
+	return 0
+}
+
+// index (re)builds the lookup index and the output scale cache from the
+// scheme and the segments.
+//
+// The tier of x is the first tier with x < End (the last tier when there
+// is none: x >= 1 or NaN). Instead of a loop over the tiers, x picks a
+// cell of a uniform grid of gridN cells over [0,1), a power of two at
+// least as fine as the narrowest tier (up to maxGrid), so x*gridN is
+// exact; tierOf maps the cell to the tier holding its left edge, which
+// is never past x's tier, and a short forward walk (no step at all for
+// PaperScheme, whose tier edges are grid edges) finishes the search.
+// The segment inside the tier then comes from the same expression the
+// tier loop used, so every x lands in the same segment.
+func (t *Table) index() {
+	t.tiers = make([]tierIndex, len(t.Scheme))
+	minW, base := 1.0, 0
+	for k, tier := range t.Scheme {
+		w := (tier.End - tier.Start) / float64(tier.Entries)
+		t.tiers[k] = tierIndex{start: tier.Start, end: tier.End, w: w, inv: pow2Recip(w), base: base, entries: tier.Entries}
+		base += tier.Entries
+		minW = math.Min(minW, tier.End-tier.Start)
+	}
+	n := 1
+	for n < maxGrid && float64(n)*minW < 1 {
+		n *= 2
+	}
+	t.gridN = float64(n)
+	t.tierOf = make([]int32, n)
+	k := 0
+	for c := range t.tierOf {
+		for k < len(t.tiers)-1 && !(float64(c)/t.gridN < t.tiers[k].end) {
+			k++
+		}
+		t.tierOf[c] = int32(k)
+	}
+
+	t.spans = make([]span, len(t.Segments))
 	t.scale = make([]float64, len(t.Segments))
-	for i := range t.Segments {
-		t.scale[i] = math.Exp2(float64(t.Segments[i].Exp)) / half
+	half := float64(int64(1) << (t.MantissaBits - 1))
+	for i, s := range t.Segments {
+		w := s.Hi - s.Lo
+		t.spans[i] = span{lo: s.Lo, w: w, inv: pow2Recip(w)}
+		t.scale[i] = math.Exp2(float64(s.Exp)) / half
 	}
 }
 
@@ -156,7 +234,7 @@ func Build(f func(x float64) float64, scheme Scheme, mantissaBits uint) (*Table,
 	for i := range t.Segments {
 		t.quantizeSegment(i)
 	}
-	t.initScale()
+	t.index()
 	return t, nil
 }
 
@@ -191,23 +269,35 @@ func (t *Table) quantizeSegment(i int) {
 }
 
 // segmentIndex locates the segment containing normalized x in [0,1).
+// Outside that range x < 0 falls in the first tier, and x >= 1 and NaN
+// in the last; the segment number is clamped to the tier.
 func (t *Table) segmentIndex(x float64) int {
-	idx := 0
-	for _, tier := range t.Scheme {
-		if x < tier.End || tier.End == 1 {
-			w := (tier.End - tier.Start) / float64(tier.Entries)
-			e := int((x - tier.Start) / w)
-			if e < 0 {
-				e = 0
-			}
-			if e >= tier.Entries {
-				e = tier.Entries - 1
-			}
-			return idx + e
+	c := 0
+	if f := x * t.gridN; f >= 1 { // x < 0 and NaN stay in cell 0
+		c = len(t.tierOf) - 1
+		if f < t.gridN {
+			c = int(f)
 		}
-		idx += tier.Entries
 	}
-	return len(t.Segments) - 1
+	k := int(t.tierOf[c])
+	for k < len(t.tiers)-1 && !(x < t.tiers[k].end) {
+		k++
+	}
+	tier := &t.tiers[k]
+	q := x - tier.start
+	if tier.inv != 0 {
+		q *= tier.inv
+	} else {
+		q /= tier.w
+	}
+	e := int(q)
+	if e < 0 {
+		e = 0
+	}
+	if e >= tier.entries {
+		e = tier.entries - 1
+	}
+	return tier.base + e
 }
 
 // Evaluate computes f(x) for normalized x = (r/R)^2 in [0,1) through the
@@ -228,15 +318,20 @@ func (t *Table) Evaluate(x float64) float64 {
 // pay the tiered index lookup once and reuse it via EvaluateAt.
 func (t *Table) Locate(x float64) (seg int, tq int64) {
 	i := t.segmentIndex(x)
-	s := &t.Segments[i]
-	tt := (x - s.Lo) / (s.Hi - s.Lo)
+	sp := &t.spans[i]
+	tt := x - sp.lo
+	if sp.inv != 0 {
+		tt *= sp.inv
+	} else {
+		tt /= sp.w
+	}
 	if tt < 0 {
 		tt = 0
 	} else if tt >= 1 {
-		tt = math.Nextafter(1, 0)
+		tt = belowOne
 	}
-	// Quantize t to TBits fraction bits.
-	return i, int64(math.RoundToEven(tt * float64(int64(1)<<t.TBits)))
+	// Quantize t to TBits fraction bits (TBits&63: see EvaluateAt).
+	return i, int64(math.RoundToEven(tt * float64(int64(1)<<(t.TBits&63))))
 }
 
 // EvaluateAt computes the table polynomial at a location obtained from
@@ -245,14 +340,14 @@ func (t *Table) Locate(x float64) (seg int, tq int64) {
 // bits; each multiply by tq adds TBits, which RoundShift removes.
 func (t *Table) EvaluateAt(seg int, tq int64) float64 {
 	s := &t.Segments[seg]
-	acc := fixp.RoundShift(s.Mantissa[3]*tq, t.TBits) + s.Mantissa[2]
-	acc = fixp.RoundShift(acc*tq, t.TBits) + s.Mantissa[1]
-	acc = fixp.RoundShift(acc*tq, t.TBits) + s.Mantissa[0]
-	if seg < len(t.scale) {
-		return float64(acc) * t.scale[seg]
-	}
-	half := float64(int64(1) << (t.MantissaBits - 1))
-	return float64(acc) / half * math.Exp2(float64(s.Exp))
+	// TBits is below 64 in every table Build or ReadTable makes; the mask
+	// only tells the compiler so, which drops the shift-range guards from
+	// the inlined RoundShifts.
+	tb := t.TBits & 63
+	acc := fixp.RoundShift(s.Mantissa[3]*tq, tb) + s.Mantissa[2]
+	acc = fixp.RoundShift(acc*tq, tb) + s.Mantissa[1]
+	acc = fixp.RoundShift(acc*tq, tb) + s.Mantissa[0]
+	return float64(acc) * t.scale[seg]
 }
 
 // EvaluateFloat computes f(x) from the continuous piecewise coefficients

@@ -137,7 +137,7 @@ func TestServiceChaosTransientStorm(t *testing.T) {
 	if c.Enospc+c.Torn+c.Eio == 0 {
 		t.Fatalf("campaign injected nothing: %+v", c)
 	}
-	if d.BusyWorkers() != 0 || d.QueueDepth() != 0 {
+	if !d.AwaitIdle(idleGrace) {
 		t.Fatalf("wedged pool: busy=%d depth=%d", d.BusyWorkers(), d.QueueDepth())
 	}
 }
@@ -503,7 +503,7 @@ func TestServiceChaosScheduledCampaign(t *testing.T) {
 			t.Fatalf("job %s ledger fails verification: %v", id, err)
 		}
 	}
-	if d.BusyWorkers() != 0 || d.QueueDepth() != 0 {
+	if !d.AwaitIdle(idleGrace) {
 		t.Fatalf("wedged pool after campaign: busy=%d depth=%d", d.BusyWorkers(), d.QueueDepth())
 	}
 }

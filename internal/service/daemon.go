@@ -360,6 +360,25 @@ func (d *Daemon) AwaitJob(id string, timeout time.Duration, pred func(JobStatus)
 	return d.store.WaitJob(id, timeout, pred)
 }
 
+// AwaitIdle blocks until no worker is executing a job and no job is
+// queued, or the timeout passes; it reports whether the pool went idle.
+// A worker counts as busy until runJob has returned, deferred cleanup
+// (ledger close, shard shutdown) included, which is after it persisted
+// the terminal state AwaitJob observes — so a caller checking for a
+// wedged pool right after its last job finished waits here instead of
+// sampling BusyWorkers too early. Only a worker that never returns keeps
+// it from reporting true.
+func (d *Daemon) AwaitIdle(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for d.BusyWorkers() != 0 || d.QueueDepth() != 0 {
+		if !time.Now().Before(deadline) {
+			return false
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return true
+}
+
 // QueueDepth reports how many jobs are waiting for a worker.
 func (d *Daemon) QueueDepth() int { return d.q.depth() }
 

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"anton/internal/obs"
 )
 
 func skipShort(t *testing.T) {
@@ -49,6 +51,11 @@ func waitJob(t *testing.T, d *Daemon, id string, timeout time.Duration, cond fun
 	}
 	return js
 }
+
+// idleGrace bounds the wait for the pool to go idle after the last job
+// reached a terminal state: long enough for any worker's deferred
+// cleanup, so only a worker that never returns fails a wedged-pool check.
+const idleGrace = 30 * time.Second
 
 // referenceDigest runs the spec's trajectory directly (no daemon, no
 // checkpoints) and returns the digest at the final step. This is the
@@ -263,6 +270,76 @@ func TestCancel(t *testing.T) {
 	}
 	if _, err := d.Cancel("job-424242"); err == nil {
 		t.Fatal("canceling an unknown job succeeded")
+	}
+}
+
+// TestAwaitIdle: an empty pool is idle at once; a pool running a job is
+// not idle; once the job is terminal the pool goes idle within the
+// grace, worker cleanup included.
+func TestAwaitIdle(t *testing.T) {
+	skipShort(t)
+	d := newTestDaemon(t, Config{StateDir: t.TempDir(), Workers: 1})
+	d.Start()
+	defer d.Kill()
+	if !d.AwaitIdle(0) {
+		t.Fatal("empty pool not idle")
+	}
+	js, _, err := d.Submit(JobSpec{System: "small", Steps: 2000, CheckpointEvery: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, d, js.ID, time.Minute, func(j JobStatus) bool { return j.State == StateRunning && j.Step > 0 })
+	if d.AwaitIdle(20 * time.Millisecond) {
+		t.Fatal("pool idle while a 2000-step job runs")
+	}
+	if _, err := d.Cancel(js.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, d, js.ID, time.Minute, func(j JobStatus) bool { return j.State.terminal() })
+	if !d.AwaitIdle(idleGrace) {
+		t.Fatalf("pool not idle after the job ended: busy=%d depth=%d", d.BusyWorkers(), d.QueueDepth())
+	}
+}
+
+// TestJobTelemetryRetention: finishing a job retires its telemetry
+// surface, and the daemon keeps only the obs.RetainedTerminal most
+// recent terminal surfaces — the newest job's trace is still served, the
+// oldest jobs' telemetry answers 404, and the set stays bounded.
+func TestJobTelemetryRetention(t *testing.T) {
+	skipShort(t)
+	d := newTestDaemon(t, Config{StateDir: t.TempDir(), Workers: 1, Tokens: []string{"tok"}})
+	d.Start()
+	defer d.Kill()
+	const jobs = obs.RetainedTerminal + 3
+	var ids []string
+	for i := 0; i < jobs; i++ {
+		js, _, err := d.Submit(JobSpec{System: "small", Steps: 2, Seed: int64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, js.ID)
+	}
+	for _, id := range ids {
+		waitJob(t, d, id, time.Minute, func(j JobStatus) bool { return j.State.terminal() })
+	}
+	if !d.AwaitIdle(idleGrace) {
+		t.Fatal("pool did not go idle")
+	}
+	trace := func(id string) int {
+		req := httptest.NewRequest("GET", "/api/v1/jobs/"+id+"/trace", nil)
+		req.Header.Set("Authorization", "Bearer tok")
+		w := httptest.NewRecorder()
+		d.Handler().ServeHTTP(w, req)
+		return w.Code
+	}
+	if code := trace(ids[jobs-1]); code != http.StatusOK {
+		t.Fatalf("newest job's trace: %d, want 200", code)
+	}
+	if code := trace(ids[0]); code != http.StatusNotFound {
+		t.Fatalf("oldest job's trace: %d, want 404 once %d newer jobs finished", code, jobs-1)
+	}
+	if n := len(d.tset.Keys()); n != obs.RetainedTerminal {
+		t.Fatalf("daemon holds %d telemetry surfaces after %d jobs, want %d", n, jobs, obs.RetainedTerminal)
 	}
 }
 

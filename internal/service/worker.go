@@ -231,7 +231,8 @@ func (d *Daemon) runJob(id string) {
 	// Per-job telemetry: the same /metrics, /healthz, /trace surface the
 	// CLI serves per run, published into the daemon's TelemetrySet and
 	// routed at /api/v1/jobs/{id}/{endpoint}. The surface outlives the
-	// job so terminal states stay scrapeable.
+	// job so terminal states stay scrapeable; finish retires it, and the
+	// set keeps the obs.RetainedTerminal most recent terminal surfaces.
 	tel := d.tset.Acquire(id)
 	rec := obs.NewRecorder()
 	eng.Observe(rec)
@@ -379,7 +380,8 @@ func (d *Daemon) runJob(id string) {
 // counter). Persistence here retries transient faults like any other
 // stage; a storage crash can only be logged — the job's checkpoint is
 // still on disk, so the next daemon's recovery scan re-runs the tail
-// idempotently.
+// idempotently. The job's telemetry surface is retired: it stays
+// scrapeable until newer terminal jobs push it out of the set.
 func (d *Daemon) finish(js *JobStatus, state JobState, cause error) {
 	js.State = state
 	js.FinishedAt = time.Now().UTC()
@@ -393,4 +395,5 @@ func (d *Daemon) finish(js *JobStatus, state JobState, cause error) {
 	if err := d.retryPersist(js.ID, func() error { return d.store.Put(*js) }); err != nil {
 		d.log.Error("persist terminal state", "job", js.ID, "err", err)
 	}
+	d.tset.Retire(js.ID)
 }

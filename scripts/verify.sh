@@ -149,6 +149,16 @@ go test -count=2 -run \
 	'TestCommDeterministic|TestObsBitwiseInvariance|Deterministic|Bitwise|Invariance' \
 	./internal/core ./internal/fft ./internal/torus ./internal/obs
 
+echo "== fuzz: fixed-point rounding, PPIP table lookup + deserializer =="
+# Each target replays its committed corpus (testdata/fuzz/) and then
+# searches for a few seconds: RoundShift and the PPIP segment lookup
+# against the replaced implementations kept as oracles in the tests,
+# and ReadTable for panics and Write/ReadTable round trips. go test
+# fuzzes one target per invocation.
+for target in fixp:FuzzRoundShift ppip:FuzzLocate ppip:FuzzReadTable; do
+	go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime 10s "./internal/${target%%:*}"
+done
+
 echo "== mesh hot path: allocation smoke =="
 # One iteration of each mesh-path benchmark; the committed BENCH files
 # record the full numbers, this gate just proves the path still builds,
